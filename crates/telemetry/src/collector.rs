@@ -5,11 +5,15 @@
 //! each with one of a small, fixed number of reactor shards
 //! (round-robin). Each shard thread owns its connections outright — the
 //! per-connection [`StreamDecoder`] state machine and a shard-local
-//! record store — and multiplexes them with nonblocking reads in a
-//! readiness loop, so thousands of agent connections are served by a
-//! handful of threads and no global mutex sits on the decode hot path
-//! (the shard store's lock is only ever contended by the periodic
-//! drain).
+//! record store — and multiplexes them over nonblocking sockets: it
+//! blocks in `poll(2)` until a connection (or its waker) is readable and
+//! reads only the sockets the kernel reported ready, so thousands of
+//! agent connections are served by a handful of threads, an idle
+//! collector costs no CPU, and no global mutex sits on the decode hot
+//! path (the shard store's lock is only ever contended by the periodic
+//! drain). The accept thread parks the same way on the listener; it
+//! wakes the receiving shard after each handoff, and
+//! [`Collector::shutdown`] wakes every thread.
 //!
 //! Records decoded from v2 frames arrive pre-bucketed: the shard bins
 //! them by the agent-stamped `epoch_seq` as it decodes, so
@@ -27,11 +31,12 @@
 //! bench for the reactor vs thread-per-connection comparison.
 
 use crate::flow::FlowRecord;
+use crate::readiness::{self, PollSet, WakeReceiver, Waker};
 use crate::wire::{DecodeStep, ExportMessage, StreamDecoder, WireError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -55,10 +60,13 @@ pub struct StampedRecord {
     pub record: FlowRecord,
 }
 
-/// A fault-injection hook run by each reactor shard once per readiness
-/// pass (argument: shard index). Chaos harnesses install one to stall a
-/// shard (sleep inside the hook) and prove the pipeline tolerates a
-/// wedged reactor; production configs leave it `None`.
+/// A fault-injection hook run by each reactor shard once per wake-up
+/// (argument: shard index), after `poll(2)` returns and before the shard
+/// reads. A parked shard does not run it, so a stall armed while the shard
+/// is idle fires on the next arrival — a registration or readable bytes.
+/// Chaos harnesses install one to stall a shard (sleep inside the hook)
+/// and prove the pipeline tolerates a wedged reactor; production configs
+/// leave it `None`.
 #[derive(Clone)]
 pub struct ReactorHook(Arc<dyn Fn(usize) + Send + Sync>);
 
@@ -89,8 +97,6 @@ pub struct CollectorConfig {
     /// store holds at least this many pending records are shed and
     /// counted in [`CollectorStats::dropped_records`].
     pub high_water: usize,
-    /// How long an idle shard sleeps between readiness passes.
-    pub idle_sleep: Duration,
     /// Per-connection garbage budget: cumulative bytes discarded while
     /// resyncing before the connection is deliberately killed (counted in
     /// [`CollectorStats::decode_errors`]).
@@ -98,7 +104,7 @@ pub struct CollectorConfig {
     /// Per-connection quarantine budget: undecodable-but-framed messages
     /// tolerated before the connection is deliberately killed.
     pub max_quarantined_frames: u64,
-    /// Chaos hook run once per shard readiness pass; `None` in production.
+    /// Chaos hook run once per shard wake-up; `None` in production.
     pub stall_hook: Option<ReactorHook>,
 }
 
@@ -112,7 +118,6 @@ impl Default for CollectorConfig {
         CollectorConfig {
             shards,
             high_water: 1 << 22,
-            idle_sleep: Duration::from_micros(200),
             max_resync_bytes: 64 * 1024,
             max_quarantined_frames: 32,
             stall_hook: None,
@@ -125,6 +130,10 @@ impl Default for CollectorConfig {
 pub struct CollectorStats {
     /// Connections accepted (monotonic).
     pub connections: AtomicU64,
+    /// Failed `accept` calls (monotonic): descriptor or buffer
+    /// exhaustion, or a connection aborted while queued. The accept
+    /// thread survives each one.
+    pub accept_errors: AtomicU64,
     /// Connections currently registered with a reactor shard (gauge).
     pub active_connections: AtomicU64,
     /// Connections closed — agent hangup, IO error, or decode error
@@ -165,6 +174,8 @@ pub struct CollectorStats {
 pub struct StatsSnapshot {
     /// Connections accepted (monotonic).
     pub connections: u64,
+    /// Failed `accept` calls (monotonic).
+    pub accept_errors: u64,
     /// Connections currently registered (gauge).
     pub active_connections: u64,
     /// Connections closed (monotonic).
@@ -202,6 +213,7 @@ impl CollectorStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
             active_connections: self.active_connections.load(Ordering::Relaxed),
             closed_connections: self.closed_connections.load(Ordering::Relaxed),
             messages: self.messages.load(Ordering::Relaxed),
@@ -297,6 +309,8 @@ pub struct Collector {
     stats: Arc<CollectorStats>,
     liveness: Arc<Mutex<HashMap<u32, AgentSeen>>>,
     stop: Arc<AtomicBool>,
+    accept_waker: Waker,
+    shard_wakers: Vec<Arc<Waker>>,
     accept_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
 }
@@ -318,11 +332,21 @@ impl Collector {
         let stop = Arc::new(AtomicBool::new(false));
         let pending = Arc::new(AtomicUsize::new(0));
         let liveness: Arc<Mutex<HashMap<u32, AgentSeen>>> = Arc::new(Mutex::new(HashMap::new()));
+        // Every fallible set-up step runs before the first thread spawns,
+        // so an error here leaves no thread behind.
+        let (accept_waker, accept_wake_rx) = readiness::waker()?;
+        let mut shard_wakers = Vec::with_capacity(config.shards);
+        let mut wake_rxs = Vec::with_capacity(config.shards);
+        for _ in 0..config.shards {
+            let (waker, wake_rx) = readiness::waker()?;
+            shard_wakers.push(Arc::new(waker));
+            wake_rxs.push(wake_rx);
+        }
 
         let mut stores = Vec::with_capacity(config.shards);
         let mut shard_threads = Vec::with_capacity(config.shards);
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
+        let mut handoffs: Vec<(Sender<TcpStream>, Arc<Waker>)> = Vec::with_capacity(config.shards);
+        for (i, wake_rx) in wake_rxs.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel();
             let store: Arc<Mutex<ShardStore>> = Arc::new(Mutex::new(ShardStore::default()));
             let thread = {
@@ -334,12 +358,14 @@ impl Collector {
                 let cfg = config.clone();
                 std::thread::Builder::new()
                     .name(format!("flock-reactor-{i}"))
-                    .spawn(move || shard_loop(i, rx, store, stats, stop, pending, liveness, cfg))
+                    .spawn(move || {
+                        shard_loop(i, rx, wake_rx, store, stats, stop, pending, liveness, cfg)
+                    })
                     .expect("spawn collector reactor shard")
             };
             stores.push(store);
             shard_threads.push(thread);
-            senders.push(tx);
+            handoffs.push((tx, Arc::clone(&shard_wakers[i])));
         }
 
         let accept_thread = {
@@ -347,7 +373,7 @@ impl Collector {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("flock-collector-accept".into())
-                .spawn(move || accept_loop(listener, senders, stats, stop))
+                .spawn(move || accept_loop(listener, handoffs, accept_wake_rx, stats, stop))
                 .expect("spawn collector accept thread")
         };
 
@@ -358,6 +384,8 @@ impl Collector {
             stats,
             liveness,
             stop,
+            accept_waker,
+            shard_wakers,
             accept_thread: Some(accept_thread),
             shard_threads,
         })
@@ -484,6 +512,12 @@ impl Collector {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Every thread may be parked in poll(2): wake each so it sees the
+        // stop flag.
+        self.accept_waker.wake();
+        for waker in &self.shard_wakers {
+            waker.wake();
+        }
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
@@ -499,25 +533,39 @@ impl Drop for Collector {
     }
 }
 
+/// How long the accept thread waits before retrying after an `accept`
+/// failure that leaves the connection queued (descriptor or buffer
+/// exhaustion): the listener stays readable, so without a pause the
+/// parked loop would spin on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(
     listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
+    handoffs: Vec<(Sender<TcpStream>, Arc<Waker>)>,
+    wake_rx: WakeReceiver,
     stats: Arc<CollectorStats>,
     stop: Arc<AtomicBool>,
 ) {
+    let mut ready = PollSet::default();
+    ready.push(&listener);
+    ready.push(&wake_rx);
     let mut next = 0usize;
     while !stop.load(Ordering::SeqCst) {
-        // Drain every pending connection before sleeping: under a
+        // Park until a connection is queued or shutdown wakes us. Should
+        // poll(2) itself fail, the nonblocking accept below still settles
+        // whether a connection is waiting.
+        let _ = ready.wait();
+        wake_rx.drain();
+        // Drain every pending connection before parking again: under a
         // connection storm (Fig. 7's 8K connections/sec) a
-        // one-accept-per-poll loop becomes the bottleneck.
+        // one-accept-per-wake loop becomes the bottleneck.
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     stats.connections.fetch_add(1, Ordering::Relaxed);
                     stats.active_connections.fetch_add(1, Ordering::Relaxed);
-                    if stream.set_nonblocking(true).is_err()
-                        || senders[next % senders.len()].send(stream).is_err()
-                    {
+                    let (tx, waker) = &handoffs[next % handoffs.len()];
+                    if stream.set_nonblocking(true).is_err() || tx.send(stream).is_err() {
                         // fcntl failure or shard gone (shutdown): the
                         // connection dies here — account for it so the
                         // gauges stay truthful.
@@ -525,13 +573,26 @@ fn accept_loop(
                         stats.closed_connections.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
+                    waker.wake();
                     next += 1;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => {
+                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset
+                    ) {
+                        // Only that connection failed; take the next one.
+                        continue;
+                    }
+                    // Out of descriptors or kernel buffers: the connection
+                    // stays queued until some are freed.
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    break;
+                }
             }
         }
-        std::thread::sleep(Duration::from_micros(200));
     }
 }
 
@@ -555,6 +616,7 @@ enum Pump {
 fn shard_loop(
     shard_idx: usize,
     rx: Receiver<TcpStream>,
+    wake_rx: WakeReceiver,
     store: Arc<Mutex<ShardStore>>,
     stats: Arc<CollectorStats>,
     stop: Arc<AtomicBool>,
@@ -564,11 +626,51 @@ fn shard_loop(
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
+    let mut ready = PollSet::default();
     while !stop.load(Ordering::SeqCst) {
+        // Park until the waker or a connection is readable. Slot 0 is the
+        // waker, slot k + 1 is `conns[k]`.
+        ready.clear();
+        ready.push(&wake_rx);
+        for conn in &conns {
+            ready.push(&conn.stream);
+        }
+        // Should poll(2) itself fail, every socket is read: nonblocking
+        // reads settle readiness on their own.
+        let polled = ready.wait().is_ok();
         if let Some(hook) = &cfg.stall_hook {
             hook.call(shard_idx);
         }
-        // Register connections handed over by the accept loop.
+        // Consume the wake-up before taking handoffs: a connection sent
+        // after the `try_recv` below posts a fresh one, so it is never
+        // missed.
+        if !polled || ready.ready(0) {
+            wake_rx.drain();
+        }
+
+        // One readiness pass over the connections the kernel reported.
+        let mut progress = false;
+        let mut slot = 0;
+        conns.retain_mut(|conn| {
+            slot += 1;
+            if polled && !ready.ready(slot) {
+                return true;
+            }
+            match pump(conn, &mut buf, &store, &stats, &pending, &liveness, &cfg) {
+                Pump::Open(read_any) => {
+                    progress |= read_any;
+                    true
+                }
+                Pump::Closed => {
+                    stats.active_connections.fetch_sub(1, Ordering::Relaxed);
+                    stats.closed_connections.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
+            }
+        });
+
+        // Register connections handed over by the accept loop; they join
+        // the next wait.
         loop {
             match rx.try_recv() {
                 Ok(stream) => conns.push(Conn {
@@ -586,34 +688,7 @@ fn shard_loop(
                 }
             }
         }
-
-        // One readiness pass over every registered connection.
-        let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match pump(
-                &mut conns[i],
-                &mut buf,
-                &store,
-                &stats,
-                &pending,
-                &liveness,
-                &cfg,
-            ) {
-                Pump::Open(read_any) => {
-                    progress |= read_any;
-                    i += 1;
-                }
-                Pump::Closed => {
-                    stats.active_connections.fetch_sub(1, Ordering::Relaxed);
-                    stats.closed_connections.fetch_add(1, Ordering::Relaxed);
-                    conns.swap_remove(i);
-                }
-            }
-        }
-        if !progress {
-            std::thread::sleep(cfg.idle_sleep);
-        } else {
+        if progress {
             // A busy shard must not monopolize a core: on small machines
             // an un-yielding readiness loop starves the accept thread,
             // the listener backlog fills, and connecting agents eat SYN
@@ -1316,5 +1391,116 @@ mod tests {
         ));
         assert_eq!(collector.stats().snapshot().closed_connections, 32);
         collector.shutdown();
+    }
+
+    #[test]
+    fn idle_reactor_parks_until_traffic() {
+        use std::sync::atomic::AtomicU32;
+        let passes = Arc::new(AtomicU32::new(0));
+        let hook = {
+            let passes = Arc::clone(&passes);
+            ReactorHook::new(move |_shard| {
+                passes.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let collector = Collector::bind_with(
+            ephemeral(),
+            CollectorConfig {
+                shards: 1,
+                stall_hook: Some(hook),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // One message proves the connection is registered, then silence.
+        let mut s = TcpStream::connect(collector.local_addr()).unwrap();
+        s.write_all(&encode_message(1, 0, 0, &[])).unwrap();
+        assert!(wait_for(
+            || collector.stats().snapshot().messages == 1,
+            2000
+        ));
+        let before = passes.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(300));
+        let idle_passes = passes.load(Ordering::Relaxed) - before;
+        assert!(
+            idle_passes <= 3,
+            "{idle_passes} readiness passes over 300 ms of silence"
+        );
+        // The parked shard still wakes for the next arrival.
+        s.write_all(&encode_message(1, 1, 1, &[])).unwrap();
+        assert!(wait_for(
+            || collector.stats().snapshot().messages == 2,
+            2000
+        ));
+        drop(s);
+    }
+
+    /// Run `collector.shutdown()` on a helper thread and report whether it
+    /// returned within `limit`, so a lost wake-up fails instead of hanging.
+    fn shuts_down_within(collector: Collector, limit: Duration) -> bool {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            collector.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx.recv_timeout(limit).is_ok()
+    }
+
+    #[test]
+    fn shutdown_wakes_parked_threads() {
+        // No connections: every thread is parked on its waker alone.
+        let collector = Collector::bind(ephemeral()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(shuts_down_within(collector, Duration::from_secs(1)));
+
+        // Idle registered connections on every shard.
+        let collector = Collector::bind_with(
+            ephemeral(),
+            CollectorConfig {
+                shards: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut socks = Vec::new();
+        for i in 0..4u32 {
+            let mut s = TcpStream::connect(collector.local_addr()).unwrap();
+            s.write_all(&encode_message(i, 0, 0, &[])).unwrap();
+            socks.push(s);
+        }
+        assert!(wait_for(
+            || collector.stats().snapshot().messages == 4,
+            2000
+        ));
+        std::thread::sleep(Duration::from_millis(50));
+        let stats = Arc::clone(&collector.stats);
+        assert!(shuts_down_within(collector, Duration::from_secs(1)));
+        let snap = stats.snapshot();
+        assert_eq!(snap.active_connections, 0);
+        assert_eq!(snap.closed_connections, 4);
+        drop(socks);
+    }
+
+    #[test]
+    fn late_joiner_is_served_by_parked_shards() {
+        let collector = Collector::bind_with(
+            ephemeral(),
+            CollectorConfig {
+                shards: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Every thread parks before the first agent arrives.
+        std::thread::sleep(Duration::from_millis(100));
+        let mut s = TcpStream::connect(collector.local_addr()).unwrap();
+        s.write_all(&encode_message(7, 0, 0, &[])).unwrap();
+        assert!(wait_for(
+            || collector.stats().snapshot().messages == 1,
+            2000
+        ));
+        assert_eq!(collector.stats().snapshot().active_connections, 1);
+        assert_eq!(collector.liveness()[0].agent_id, 7);
+        drop(s);
     }
 }

@@ -32,7 +32,7 @@
 //!   a sharded executor's engines allocate and iterate O(their own
 //!   evidence) instead of O(total arena).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;
@@ -40,6 +40,8 @@ pub mod collector;
 pub mod flow;
 pub mod input;
 pub mod probes;
+#[allow(unsafe_code)]
+mod readiness;
 pub mod view;
 pub mod wire;
 

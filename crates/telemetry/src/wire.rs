@@ -333,7 +333,12 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
 /// messages. Used by the collector's per-connection readers.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    buf: BytesMut,
+    /// Received bytes; the first `start` of them are already consumed.
+    buf: Vec<u8>,
+    /// Consumed frames are skipped by advancing this offset and compacted
+    /// away on the next [`feed`](Self::feed), so decoding a chunk of many
+    /// frames moves each byte once instead of once per frame ahead of it.
+    start: usize,
 }
 
 impl StreamDecoder {
@@ -344,7 +349,19 @@ impl StreamDecoder {
 
     /// Append received bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(chunk);
+    }
+
+    /// The buffered bytes not yet consumed.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Discard everything buffered and release the buffer.
+    fn clear(&mut self) {
+        *self = Self::default();
     }
 
     /// Pop the next complete message, if one is fully buffered.
@@ -353,35 +370,37 @@ impl StreamDecoder {
     /// (it is a TCP stream we no longer trust), so the decoder drains its
     /// buffer and surfaces the error; the collector drops the connection.
     pub fn next_message(&mut self) -> Result<Option<ExportMessage>, WireError> {
-        if self.buf.len() < HEADER_LEN {
+        let buf = self.pending();
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let magic = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
+        let magic = u32::from_be_bytes(buf[0..4].try_into().unwrap());
         if magic != MAGIC {
-            self.buf.clear();
+            self.clear();
             return Err(WireError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes(self.buf[4..6].try_into().unwrap());
+        let version = u16::from_be_bytes(buf[4..6].try_into().unwrap());
         if version != VERSION_V1 && version != VERSION {
-            self.buf.clear();
+            self.clear();
             return Err(WireError::BadVersion(version));
         }
-        let msg_len = u32::from_be_bytes(self.buf[8..12].try_into().unwrap()) as usize;
+        let msg_len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
         if msg_len < header_len(version) {
-            self.buf.clear();
+            self.clear();
             return Err(WireError::LengthMismatch {
                 declared: msg_len as u32,
                 consumed: header_len(version) as u32,
             });
         }
-        if self.buf.len() < msg_len {
+        if buf.len() < msg_len {
             return Ok(None);
         }
-        let frame = self.buf.split_to(msg_len);
-        match decode_message(&frame) {
+        let decoded = decode_message(&buf[..msg_len]);
+        self.start += msg_len;
+        match decoded {
             Ok(msg) => Ok(Some(msg)),
             Err(e) => {
-                self.buf.clear();
+                self.clear();
                 Err(e)
             }
         }
@@ -398,15 +417,20 @@ impl StreamDecoder {
     /// quarantine/resync volume crosses its kill threshold — teardown is
     /// a policy decision, not a framing side effect.
     pub fn next_step(&mut self) -> DecodeStep {
-        if self.buf.len() < HEADER_LEN {
+        let buf = self.pending();
+        if buf.len() < HEADER_LEN {
+            if buf.is_empty() {
+                // At a frame boundary: an idle connection holds no buffer.
+                self.clear();
+            }
             return DecodeStep::NeedMore;
         }
-        let magic = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
+        let magic = u32::from_be_bytes(buf[0..4].try_into().unwrap());
         if magic != MAGIC {
             return self.resync(WireError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes(self.buf[4..6].try_into().unwrap());
-        let msg_len = u32::from_be_bytes(self.buf[8..12].try_into().unwrap()) as usize;
+        let version = u16::from_be_bytes(buf[4..6].try_into().unwrap());
+        let msg_len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
         let known_version = version == VERSION_V1 || version == VERSION;
         // The declared length is only trusted inside sane bounds; an insane
         // length means the header itself is corrupt, so frame-skipping
@@ -422,17 +446,18 @@ impl StreamDecoder {
                 consumed: min_len as u32,
             });
         }
-        if self.buf.len() < msg_len {
+        if buf.len() < msg_len {
             return DecodeStep::NeedMore;
         }
         if !known_version {
             // Length-framed but undecodable: drop exactly this frame and
             // keep the boundary for the next one.
-            let _ = self.buf.split_to(msg_len);
+            self.start += msg_len;
             return DecodeStep::Quarantined(WireError::BadVersion(version));
         }
-        let frame = self.buf.split_to(msg_len);
-        match decode_message(&frame) {
+        let decoded = decode_message(&buf[..msg_len]);
+        self.start += msg_len;
+        match decoded {
             Ok(msg) => DecodeStep::Message(msg),
             // The frame was consumed whole, so the stream position is
             // still aligned; only this message is lost.
@@ -445,17 +470,18 @@ impl StreamDecoder {
     /// no full match is found.
     fn resync(&mut self, cause: WireError) -> DecodeStep {
         let magic = MAGIC.to_be_bytes();
-        let dropped = match self.buf[1..].windows(4).position(|w| w == magic) {
+        let buf = self.pending();
+        let dropped = match buf[1..].windows(4).position(|w| w == magic) {
             Some(i) => 1 + i,
-            None => self.buf.len().saturating_sub(3).max(1),
+            None => buf.len().saturating_sub(3).max(1),
         };
-        let _ = self.buf.split_to(dropped);
+        self.start += dropped;
         DecodeStep::Resynced { dropped, cause }
     }
 
     /// Bytes currently buffered (for tests/diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.pending().len()
     }
 }
 
@@ -626,6 +652,32 @@ mod tests {
         assert_eq!(out[0].sequence, 0);
         assert_eq!(out[1].sequence, 1);
         assert_eq!(out[1].records.len(), 1);
+        assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn next_step_decodes_many_frames_per_chunk_and_carries_the_tail() {
+        let recs = sample_records();
+        let mut all = Vec::new();
+        for seq in 0..40u64 {
+            all.extend_from_slice(&encode_message_v2(1, seq, seq, 0, &recs));
+        }
+        let frame_len = all.len() / 40;
+        let mut dec = StreamDecoder::new();
+        let mut seqs = Vec::new();
+        // Each chunk holds two whole frames and half of the next one.
+        for chunk in all.chunks(frame_len * 5 / 2) {
+            dec.feed(chunk);
+            loop {
+                match dec.next_step() {
+                    DecodeStep::Message(msg) => seqs.push(msg.sequence),
+                    DecodeStep::NeedMore => break,
+                    other => panic!("clean stream: {other:?}"),
+                }
+            }
+            assert!(dec.buffered() < frame_len, "only a partial frame is left");
+        }
+        assert_eq!(seqs, (0..40).collect::<Vec<_>>());
         assert_eq!(dec.buffered(), 0);
     }
 
